@@ -593,6 +593,11 @@ def _phase_breakdown(cs) -> dict:
             "warm_starts": cs.warm_starts,
             "warm_memo_hits": cs.warm_memo_hits,
             "warm_pair_hits": cs.warm_pair_hits,
+            "feasibility_checks": cs.feasibility_checks,
+            "feasibility_model_hits": cs.feasibility_model_hits,
+            "feasibility_solver_calls": cs.feasibility_solver_calls,
+            "feasibility_unknown": cs.feasibility_unknown,
+            "feasibility_seconds": round(cs.feasibility_seconds, 6),
         },
     }
 
@@ -628,7 +633,12 @@ def _print_phase_breakdown(cs) -> None:
           f"simplifier {disp['by_simplifier']}, "
           f"interval {disp['by_interval']}, "
           f"session {disp['by_session']}, sat {disp['by_sat']}; "
-          f"{disp['sat_conflicts']} conflicts)")
+          f"{disp['sat_conflicts']} conflicts); "
+          f"feasibility {disp['feasibility_checks']} checks "
+          f"(model {disp['feasibility_model_hits']}, "
+          f"solver {disp['feasibility_solver_calls']}, "
+          f"unknown {disp['feasibility_unknown']}; "
+          f"{disp['feasibility_seconds']:.4f}s of execute)")
     if disp["warm_starts"] or disp["warm_memo_hits"] \
             or disp["warm_pair_hits"]:
         print(f"warm start: {disp['warm_starts']} sessions adopted, "

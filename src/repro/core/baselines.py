@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from .. import ir
 from ..frontend import compile_source
 from ..passes import standard_pipeline
-from ..smt import mk_and, mk_bv, mk_bv_var, mk_eq
+from ..smt import DEFAULT_SOLVER_BUDGET, mk_and, mk_bv, mk_bv_var, mk_eq
 from ..sym import (
     Executor, LaunchConfig, RaceChecker, analyze_resolvability,
 )
@@ -50,7 +50,7 @@ class GKLEEp:
         return {arg.name for arg in self.kernel.args}
 
     def check(self, config: Optional[LaunchConfig] = None,
-              solver_budget: Optional[int] = 200_000,
+              solver_budget: Optional[int] = DEFAULT_SOLVER_BUDGET,
               max_reports: int = 16) -> AnalysisReport:
         config = config or LaunchConfig()
         start = time.perf_counter()

@@ -22,7 +22,7 @@ from .. import ir
 from ..frontend import compile_source
 from ..passes import analyze_taint, standard_pipeline
 from ..passes.taint import TaintReport
-from ..smt import CheckResult, Solver, mk_and
+from ..smt import DEFAULT_SOLVER_BUDGET, CheckResult, Solver, mk_and
 from ..sym import (
     Executor, LaunchConfig, RaceChecker, analyze_resolvability,
 )
@@ -78,7 +78,7 @@ class SESA:
     # ------------------------------------------------------------------
 
     def check(self, config: Optional[LaunchConfig] = None,
-              solver_budget: Optional[int] = 200_000,
+              solver_budget: Optional[int] = DEFAULT_SOLVER_BUDGET,
               max_reports: int = 16) -> AnalysisReport:
         """Full SESA analysis: taint-guided symbolisation, parametric
         execution with flow combining, race + OOB checking."""
@@ -90,10 +90,13 @@ class SESA:
         # escalation falls through to the exact single-tier pipeline
         static_seconds = 0.0
         static_reason: Optional[str] = None
-        if getattr(config, "static_tier", True) and solver_budget != 200_000:
+        if getattr(config, "static_tier", True) and \
+                solver_budget != DEFAULT_SOLVER_BUDGET:
             # a caller overriding the per-query conflict budget is
             # studying solver behaviour; a solver-less verdict would
-            # defeat that (mirrors the config-level prescreen check)
+            # defeat that (mirrors the config-level prescreen check).
+            # Compared by value, so a caller passing the default on (the
+            # stream checker forwards its own) keeps tier 0
             static_reason = "solver budget override"
         elif getattr(config, "static_tier", True):
             from ..static import run_static_tier

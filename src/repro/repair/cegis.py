@@ -24,7 +24,7 @@ from ..frontend import compile_source
 from ..passes import (
     analyze_taint, check_barrier_uniformity, standard_pipeline,
 )
-from ..smt import QueryMemo
+from ..smt import DEFAULT_SOLVER_BUDGET, QueryMemo
 from ..sym import Executor, LaunchConfig, RaceChecker
 from .candidates import CandidateGenerator, InsertionPoint, barrier_removals
 from .diff import RenderError, SourceEdit, apply_edits, render_diff
@@ -179,7 +179,7 @@ class RepairEngine:
                  config: Optional[LaunchConfig] = None,
                  max_iterations: int = 8,
                  max_candidates: int = 24,
-                 solver_budget: Optional[int] = 200_000,
+                 solver_budget: Optional[int] = DEFAULT_SOLVER_BUDGET,
                  max_reports: int = 16,
                  share_sessions: bool = True,
                  remove_redundant: bool = False,

@@ -24,7 +24,10 @@ from .affine import (
 )
 from .cnf import get_solver_stack, set_solver_stack
 from .sat import make_solver, set_solver_impl
-from .solver import CheckResult, Model, Solver, SolverStats, get_model, is_sat
+from .solver import (
+    DEFAULT_SOLVER_BUDGET, CheckResult, Model, Solver, SolverStats,
+    get_model, is_sat,
+)
 from .session import QueryMemo, SolverSession, TemplateCache
 from .persist import (
     SolverArtifactStore, canonical_term, preamble_fingerprint,
@@ -45,7 +48,8 @@ __all__ = [
     "Interval", "IntervalAnalysis", "byte_footprint", "derive_bounds",
     "affine_decompose", "equality_forces_equal_components",
     "injective_on_box", "stride_separated",
-    "CheckResult", "Model", "Solver", "SolverStats", "get_model", "is_sat",
+    "DEFAULT_SOLVER_BUDGET", "CheckResult", "Model", "Solver",
+    "SolverStats", "get_model", "is_sat",
     "QueryMemo", "SolverSession", "TemplateCache",
     "get_solver_stack", "set_solver_stack", "make_solver",
     "set_solver_impl",

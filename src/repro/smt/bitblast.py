@@ -228,6 +228,8 @@ class BitBlaster:
         self._bool_map: Dict[int, int] = {}
         self.var_bits: Dict[str, Bits] = {}   # BV variable name -> bit literals
         self.bool_vars: Dict[str, int] = {}   # Bool variable name -> literal
+        #: uninterpreted application node -> its fresh bits
+        self.app_bits: Dict[Term, Bits] = {}
         self.templates = templates
         self.template_hits = 0
         #: positive-polarity (Plaisted–Greenbaum) literals, keyed by
@@ -406,6 +408,10 @@ class BitBlaster:
         bits = self.var_bits.get(name)
         if bits is None:
             return 0
+        return self.extract_bits(bits, model)
+
+    def extract_bits(self, bits: Bits, model: Dict[int, bool]) -> int:
+        """Read the unsigned value of a bit block out of a SAT model."""
         value = 0
         for i, lit in enumerate(bits):
             if self._lit_value(lit, model):
@@ -517,7 +523,9 @@ class BitBlaster:
         if op == Op.UF:
             # fresh unconstrained bits per application node (Ackermann-lite:
             # identical applications share a node via hash-consing)
-            return cnf.new_vars(width)
+            bits = cnf.new_vars(width)
+            self.app_bits[node] = bits
+            return bits
         raise NotImplementedError(f"bitblast: unsupported BV op {op}")
 
     # -- boolean nodes ----------------------------------------------------

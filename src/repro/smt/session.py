@@ -43,7 +43,7 @@ from .cnf import CNF, get_solver_stack
 from .interval import Interval, IntervalAnalysis, derive_bounds
 from .sat import SatResult, make_solver
 from .simplify import simplify
-from .solver import CheckResult, Model, SolverStats
+from .solver import DEFAULT_SOLVER_BUDGET, CheckResult, Model, SolverStats
 from . import terms as T
 from .subst import EvaluationError, evaluate
 from .terms import Term
@@ -104,7 +104,7 @@ class SolverSession:
     """
 
     def __init__(self, preamble: Sequence[Term], *,
-                 conflict_budget: Optional[int] = 200_000,
+                 conflict_budget: Optional[int] = DEFAULT_SOLVER_BUDGET,
                  deadline: Optional[float] = None,
                  use_simplifier: bool = True,
                  use_interval: bool = True,

@@ -26,8 +26,12 @@ from .sat import SatResult, make_solver
 from .simplify import simplify
 from .sorts import BOOL, BVSort
 from . import terms as T
-from .subst import EvaluationError, evaluate
+from .subst import evaluate
 from .terms import Term
+
+
+#: the per-query CDCL conflict budget every checker defaults to
+DEFAULT_SOLVER_BUDGET = 200_000
 
 
 class CheckResult:
@@ -39,9 +43,16 @@ class CheckResult:
 
 @dataclass
 class Model:
-    """A satisfying assignment, mapping variable names to values."""
+    """A satisfying assignment, mapping variable names to values.
+
+    ``apps`` holds the value the SAT core gave each uninterpreted
+    application node of the solved (simplified) goal, keyed by the
+    interned node; :func:`~repro.smt.subst.evaluate` reads it through
+    its ``apps`` argument.
+    """
 
     values: Dict[str, int] = field(default_factory=dict)
+    apps: Dict[Term, int] = field(default_factory=dict)
 
     def __getitem__(self, name: str) -> int:
         return self.values.get(name, 0)
@@ -113,7 +124,7 @@ class Solver:
 
     def __init__(self, *, use_simplifier: bool = True,
                  use_interval: bool = True,
-                 conflict_budget: Optional[int] = 200_000,
+                 conflict_budget: Optional[int] = DEFAULT_SOLVER_BUDGET,
                  deadline: Optional[float] = None,
                  validate_models: bool = True) -> None:
         self.assertions: List[Term] = []
@@ -197,7 +208,9 @@ class Solver:
             values[name] = blaster.extract_value(name, sat.model)
         for name in blaster.bool_vars:
             values[name] = int(blaster.extract_bool(name, sat.model))
-        model = Model(values)
+        apps = {node: blaster.extract_bits(bits, sat.model)
+                for node, bits in blaster.app_bits.items()}
+        model = Model(values, apps)
 
         if self.validate_models:
             self._validate(goal, model)
@@ -210,11 +223,7 @@ class Solver:
             # fill variables the blaster never saw (eliminated by simplify)
             for name, var in T.free_vars(t).items():
                 assignment.setdefault(name, 0)
-            try:
-                ok = evaluate(t, assignment)
-            except EvaluationError:
-                continue  # uninterpreted applications: nothing to validate
-            if not ok:
+            if not evaluate(t, assignment, apps=model.apps):
                 raise AssertionError(
                     f"solver produced an invalid model {model} for {t}")
 

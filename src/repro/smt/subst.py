@@ -115,17 +115,31 @@ class EvaluationError(Exception):
 
 
 def evaluate(term: Term, assignment: Mapping[str, int],
-             cache: Dict[int, int] | None = None) -> int:
+             cache: Dict[int, int] | None = None,
+             apps: Mapping[Term, int] | None = None) -> int:
     """Concretely evaluate ``term`` under a variable assignment.
 
     Bitvector results are unsigned ints; boolean results are ``bool``.
     Used by the solver for model validation and by property-based tests
     as the ground-truth semantics.
+
+    Without ``apps`` an uninterpreted application raises
+    :class:`EvaluationError`. With ``apps`` (interned application node
+    -> value, as in :attr:`repro.smt.solver.Model.apps`) each node reads
+    its recorded value, and a node with none reads 0 — the bit-blaster
+    gives every application node fresh unconstrained bits, so any value
+    is one the SAT core could pick.
+
+    A ``cache`` kept across calls makes re-evaluating terms that share
+    subDAGs cost only the nodes not seen before.
     """
     if cache is None:
         cache = {}
 
-    for node in T.iter_dag([term]):
+    # explicit post-order that skips subDAGs already in the cache
+    stack = [(term, False)]
+    while stack:
+        node, expanded = stack.pop()
         nid = id(node)
         if nid in cache:
             continue
@@ -142,6 +156,13 @@ def evaluate(term: Term, assignment: Mapping[str, int],
             else:
                 assert isinstance(node.sort, BVSort)
                 cache[nid] = node.sort.wrap(int(raw))
+        elif op == Op.UF and apps is not None:
+            assert isinstance(node.sort, BVSort)
+            cache[nid] = node.sort.wrap(apps.get(node, 0))
+        elif not expanded:
+            stack.append((node, True))
+            for a in node.args:
+                stack.append((a, False))
         else:
             args = [cache[id(a)] for a in node.args]
             cache[nid] = _eval_node(node, args)

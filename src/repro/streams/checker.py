@@ -59,7 +59,8 @@ from ..frontend import compile_source
 from ..ir import function_to_str
 from ..passes import standard_pipeline
 from ..smt import (
-    CheckResult, Model, QueryMemo, Solver, SolverSession, Substitution,
+    DEFAULT_SOLVER_BUDGET, CheckResult, Model, QueryMemo, Solver,
+    SolverSession, Substitution,
     TRUE, Term, mk_and, mk_bv, mk_bv_var, mk_eq, mk_ne, mk_ult, simplify,
 )
 from ..smt.affine import affine_decompose, stride_separated
@@ -408,7 +409,7 @@ class StreamChecker:
                  incremental: bool = True, pruning: bool = True,
                  static_tier: bool = True, check_oob: bool = True,
                  solver_cache_dir: Optional[str] = None,
-                 solver_budget: Optional[int] = 200_000,
+                 solver_budget: Optional[int] = DEFAULT_SOLVER_BUDGET,
                  max_reports: int = 16) -> None:
         self.program = program
         self.cache = cache

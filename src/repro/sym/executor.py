@@ -13,10 +13,14 @@ schedule. The engine runs in two modes:
 
 Flow splits refine the flow condition (Fig. 4); infeasible refinements
 (e.g. ``tid%2 != 0 ∧ tid%4 == 0``'s complement) are pruned with the
-solver, exactly as the paper describes for flow F4.
+solver, exactly as the paper describes for flow F4. A refinement is
+first tried against models the executor already holds (the all-zero
+point and the newest feasibility models); a satisfying point proves it
+feasible without a solver call.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -24,20 +28,26 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .. import ir
 from ..smt import (
-    BOOL, FALSE, TRUE, CheckResult, Solver, Term, mk_and, mk_ashr, mk_bool,
-    mk_bv, mk_bv_var, mk_bvand, mk_bvnot, mk_bvor, mk_bvxor, mk_bxor,
-    mk_eq, mk_extract, mk_ite, mk_lshr, mk_ne, mk_not, mk_or, mk_sdiv,
-    mk_sext, mk_shl, mk_sle, mk_slt, mk_srem, mk_sub, mk_udiv, mk_ule,
-    mk_ult, mk_urem, mk_zext,
+    BOOL, FALSE, TRUE, CheckResult, Model, Solver, Term, evaluate, mk_and,
+    mk_ashr, mk_bool, mk_bv, mk_bv_var, mk_bvand, mk_bvnot, mk_bvor,
+    mk_bvxor, mk_bxor, mk_eq, mk_extract, mk_ite, mk_lshr, mk_ne, mk_not,
+    mk_or, mk_sdiv, mk_sext, mk_shl, mk_sle, mk_slt, mk_srem, mk_sub,
+    mk_udiv, mk_ule, mk_ult, mk_urem, mk_zext, simplify,
 )
 from ..smt.terms import (
-    mk_add, mk_mul, mk_sge, mk_sgt, mk_uge, mk_ugt, mk_uf,
+    Op, mk_add, mk_mul, mk_sge, mk_sgt, mk_uge, mk_ugt, mk_uf,
 )
 from .access import Access, AccessKind, AccessSet, summarize_access_set
 from .config import LaunchConfig, SymbolicEnv
 from .memory import MemoryObject, ObjectLog, WriteRecord, make_havoc
 from .state import FlowState
 from .value import Pointer, SymValue, fit_width, width_of
+
+
+#: feasibility models the probe keeps, newest first, besides the
+#: all-zero point
+_PROBE_MODELS = 32
+_ZERO_POINT = Model()
 
 
 class ExecutionError(Exception):
@@ -76,6 +86,15 @@ class ExecutionResult:
     flow_events: List[tuple] = field(default_factory=list)
     #: assert() sites: (condition under flow+guard, negated-claim, loc)
     assertions: List[tuple] = field(default_factory=list)
+    #: flow-split feasibility questions (per-run memo hits excluded):
+    #: each is decided by a stored model or by one solver call
+    feasibility_checks: int = 0
+    feasibility_model_hits: int = 0
+    feasibility_solver_calls: int = 0
+    #: solver calls that ran out of budget; the flow is kept
+    feasibility_unknown: int = 0
+    #: wall clock of the feasibility checks (part of elapsed_seconds)
+    feasibility_seconds: float = 0.0
 
     def all_accesses(self) -> List[Access]:
         return [a for s in self.bi_access_sets for a in s]
@@ -125,6 +144,8 @@ class Executor:
         self.num_splits = 0
         self._feas_solver = Solver(conflict_budget=3_000)
         self._feas_cache: Dict[int, bool] = {}
+        self._feas_models: "collections.deque[Model]" = \
+            collections.deque(maxlen=_PROBE_MODELS)
         self.result = ExecutionResult(
             kernel=kernel.name, mode=mode, config=config, env=self.env,
             objects=list(self.objects.values()))
@@ -401,15 +422,63 @@ class Executor:
         return br.else_block
 
     def _feasible(self, cond: Term) -> bool:
+        """Is the refined flow condition satisfiable under the launch
+        bounds and assumptions?
+
+        A stored model satisfying the simplified goal proves it with no
+        solver call. Otherwise the one-shot solver decides and a SAT
+        answer's model joins the store; UNKNOWN keeps the flow (a sound
+        over-approximation) and is counted.
+        """
         key = id(cond)
         hit = self._feas_cache.get(key)
         if hit is not None:
             return hit
-        self._feas_solver.assertions = list(self.env.bounds()) + \
-            list(self.config.assumptions)
-        verdict = self._feas_solver.check(cond) != CheckResult.UNSAT
+        started = time.perf_counter()
+        res = self.result
+        res.feasibility_checks += 1
+        base = list(self.env.bounds()) + list(self.config.assumptions)
+        if self._probe(base + [cond]):
+            res.feasibility_model_hits += 1
+            verdict = True
+        else:
+            res.feasibility_solver_calls += 1
+            self._feas_solver.assertions = base
+            answer = self._feas_solver.check(cond)
+            if answer == CheckResult.SAT:
+                self._feas_models.appendleft(self._feas_solver.model())
+            elif answer == CheckResult.UNKNOWN:
+                res.feasibility_unknown += 1
+            verdict = answer != CheckResult.UNSAT
         self._feas_cache[key] = verdict
+        res.feasibility_seconds += time.perf_counter() - started
         return verdict
+
+    def _probe(self, goal: List[Term]) -> bool:
+        """Does a stored model satisfy every simplified conjunct?
+
+        A hit means the solver would not answer UNSAT: it blasts these
+        same simplified conjuncts, giving each uninterpreted application
+        node fresh bits, so a model over variables and application
+        values that satisfies them is one the SAT core could find.
+        """
+        conjuncts: List[Term] = []
+        stack = [simplify(t) for t in goal]
+        while stack:
+            t = stack.pop()
+            if t.op == Op.BAND:
+                stack.extend(t.args)
+            else:
+                conjuncts.append(t)
+        # the branch literal is the newest conjunct: popped first above,
+        # and the one most likely to reject a model. A variable a model
+        # does not mention reads 0 (Model.__getitem__).
+        for model in itertools.chain(self._feas_models, (_ZERO_POINT,)):
+            cache: Dict[int, int] = {}
+            if all(evaluate(t, model, cache, model.apps)
+                   for t in conjuncts):
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # merged (flow-combined) diamond execution

@@ -30,8 +30,8 @@ from ..smt.subst import EvaluationError, evaluate
 
 from .. import ir
 from ..smt import (
-    CheckResult, FALSE, Model, QueryMemo, Solver, SolverSession,
-    SolverStats, Substitution, TRUE, Term, mk_and, mk_bv,
+    DEFAULT_SOLVER_BUDGET, CheckResult, FALSE, Model, QueryMemo, Solver,
+    SolverSession, SolverStats, Substitution, TRUE, Term, mk_and, mk_bv,
     mk_bv_var, mk_eq, mk_ne, mk_not, mk_or, mk_udiv, mk_ule, mk_ult,
     simplify,
 )
@@ -168,6 +168,12 @@ class CheckStats:
     execute_seconds: float = 0.0
     pairgen_seconds: float = 0.0
     solve_seconds: float = 0.0
+    # -- flow-split feasibility inside execute (see ExecutionResult) ----
+    feasibility_checks: int = 0
+    feasibility_model_hits: int = 0    # proved by a stored model
+    feasibility_solver_calls: int = 0  # decided by a one-shot solver
+    feasibility_unknown: int = 0       # solver out of budget: flow kept
+    feasibility_seconds: float = 0.0   # part of execute_seconds
     #: per-query solver dispatch counters, merged across all queries
     solver: SolverStats = field(default_factory=SolverStats)
 
@@ -176,7 +182,7 @@ class RaceChecker:
     """Checks one :class:`ExecutionResult` for races and OOB accesses."""
 
     def __init__(self, result: ExecutionResult,
-                 solver_budget: Optional[int] = 200_000,
+                 solver_budget: Optional[int] = DEFAULT_SOLVER_BUDGET,
                  max_reports: int = 16,
                  extra_assumptions: Optional[List[Term]] = None,
                  incremental: Optional[bool] = None,
@@ -207,6 +213,12 @@ class RaceChecker:
         self.stats.dedup_skipped = result.dedup_skipped
         self.stats.summarized_accesses = result.summarized_accesses
         self.stats.execute_seconds = result.elapsed_seconds
+        self.stats.feasibility_checks = result.feasibility_checks
+        self.stats.feasibility_model_hits = result.feasibility_model_hits
+        self.stats.feasibility_solver_calls = \
+            result.feasibility_solver_calls
+        self.stats.feasibility_unknown = result.feasibility_unknown
+        self.stats.feasibility_seconds = result.feasibility_seconds
         self.timed_out = False
         self._deadline: Optional[float] = None
         self.races: List[RaceReport] = []

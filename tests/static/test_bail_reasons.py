@@ -8,7 +8,7 @@ telemetry and the tier dashboards key on.
 import json
 
 from repro.core import SESA, LaunchConfig
-from repro.smt import mk_bv, mk_bv_var, mk_ult
+from repro.smt import DEFAULT_SOLVER_BUDGET, mk_bv, mk_bv_var, mk_ult
 from repro.sym.swarm import ShardSelector
 
 # a kernel the static tier resolves trivially when nothing bails
@@ -65,6 +65,15 @@ def test_solver_budget_override_on_config_bails():
 def test_solver_budget_override_on_call_bails():
     assert _bail_reason(solver_budget=50_000) == \
         "solver budget override"
+
+
+def test_default_solver_budget_passed_on_keeps_static_tier():
+    # compared by value: a caller forwarding the default (the stream
+    # checker does) is no override, even as a distinct int object
+    budget = int(str(DEFAULT_SOLVER_BUDGET))
+    report = SESA.from_source(EASY).check(LaunchConfig(),
+                                          solver_budget=budget)
+    assert report.to_dict()["check_stats"]["tier"] == "static"
 
 
 def test_atomic_bails():
